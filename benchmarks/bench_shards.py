@@ -36,7 +36,7 @@ from repro.shard import ShardedEngine
 from repro.workloads.campus import campus_acl
 from repro.workloads.traffic import zipf_trace
 
-#: flows in the Zipf population (shard workers keep private flow caches)
+#: flows in the Zipf population
 FLOWS = 256
 #: replay chunk handed to the partition/dispatch pipeline
 CHUNK = 4096

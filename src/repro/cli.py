@@ -792,9 +792,7 @@ def _run_replay(args, engine, compiled, layout, key_length) -> int:
         for worker in shards["workers"]:
             print(
                 f"    shard {worker['shard']:3}  pid {worker['pid']}  "
-                f"{worker['lookups']:8} lookups, "
-                f"{100 * worker['cache_hit_ratio']:.1f} % cache hits, "
-                f"{worker['remaps']} remaps"
+                f"{worker['lookups']:8} lookups, {worker['remaps']} remaps"
             )
     if args.update_rate:
         print(

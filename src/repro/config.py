@@ -12,41 +12,20 @@ that sprawl with one typed, validated value object:
   need), validated at construction so a bad value fails where it was
   written, not three layers down;
 * :meth:`ClassificationEngine.from_config` — builds the engine the
-  config describes; with ``shards > 0`` it returns the multi-process
-  :class:`~repro.shard.ShardedEngine` front-end instead (same serving
-  surface);
+  config describes; with ``shards > 0`` it returns a
+  :class:`~repro.shard.ShardedEngine`, the engine subclass that resolves
+  cache misses through worker processes;
 * :func:`serve` — the one-call facade: ACL text (or parsed rules, or an
   already-compiled ACL) plus a config in, a serving engine out.
-
-The legacy keyword knobs keep working on ``ClassificationEngine`` and
-the four apps through a shim that folds them into an
-:class:`EngineConfig` and emits :class:`DeprecationWarning`
-(``docs/api.md`` has the migration table); CI runs the test suite with
-``-W error::DeprecationWarning`` so deprecated call sites cannot creep
-back into this repo.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Optional, Sequence, Type, Union
 
 __all__ = ["EngineConfig", "serve", "DEFAULT_CONFIG"]
-
-#: sentinel distinguishing "knob not passed" from an explicit None
-_UNSET: Any = object()
-
-#: the engine knobs the legacy keyword shim accepts, in signature order
-LEGACY_ENGINE_KNOBS = (
-    "cache_size",
-    "auto_freeze",
-    "invalidation_threshold",
-    "metrics",
-    "resilience",
-    "shards",
-)
 
 
 @dataclass(frozen=True)
@@ -63,8 +42,9 @@ class EngineConfig:
 
     ``shards = 0`` (the default) serves in-process; ``shards = N`` runs
     the shared-memory multi-process data plane with N worker processes
-    (:mod:`repro.shard`), which requires a matcher the frozen plane can
-    compile (the Palmtrie family).
+    (:mod:`repro.shard`), which serves a frozen plane: a Palmtrie-family
+    matcher is frozen as-is, any other kind is rebuilt as a frozen plane
+    from its ``entries()``.
     """
 
     #: registry kind (``repro.MATCHER_KINDS``) or matcher class used by
@@ -158,17 +138,6 @@ class EngineConfig:
 
     # -- build helpers ---------------------------------------------------
 
-    def engine_kwargs(self) -> dict[str, Any]:
-        """The in-process engine knobs as plain keyword arguments —
-        what :class:`~repro.engine.ClassificationEngine` consumes."""
-        return {
-            "cache_size": self.cache_size,
-            "auto_freeze": self.auto_freeze,
-            "invalidation_threshold": self.invalidation_threshold,
-            "metrics": self.metrics,
-            "resilience": self.resilience,
-        }
-
     def build_kwargs(self, cls: type) -> dict[str, Any]:
         """Constructor kwargs for matcher class ``cls``: the config's
         ``matcher_kwargs`` plus the shape knobs the class declares it
@@ -195,40 +164,6 @@ class EngineConfig:
 DEFAULT_CONFIG = EngineConfig()
 
 
-def fold_legacy_kwargs(
-    config: Optional[EngineConfig],
-    *,
-    owner: str,
-    stacklevel: int = 3,
-    **legacy: Any,
-) -> EngineConfig:
-    """Fold deprecated keyword knobs into an :class:`EngineConfig`.
-
-    ``legacy`` maps knob name -> value, where the module sentinel
-    ``_UNSET`` means "not passed".  Passing any knob emits one
-    :class:`DeprecationWarning` naming ``owner`` (the call surface being
-    migrated); combining legacy knobs with an explicit ``config`` is an
-    error — the caller cannot mean both.
-    """
-    passed = {name: value for name, value in legacy.items() if value is not _UNSET}
-    if not passed:
-        return config if config is not None else DEFAULT_CONFIG
-    if config is not None:
-        raise TypeError(
-            f"{owner}: pass EngineConfig or legacy keyword knobs, not both "
-            f"(got config= and {sorted(passed)})"
-        )
-    warnings.warn(
-        f"{owner}: the {', '.join(sorted(passed))} keyword knob"
-        f"{'s are' if len(passed) > 1 else ' is'} deprecated; pass "
-        f"config=EngineConfig({', '.join(f'{k}=...' for k in sorted(passed))}) "
-        "instead (docs/api.md has the migration table)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return DEFAULT_CONFIG.replace(**passed)
-
-
 def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
     """One-call facade: rules in, a serving engine out.
 
@@ -238,9 +173,8 @@ def serve(rules: Any, config: Optional[EngineConfig] = None) -> Any:
     bare matcher (anything with ``lookup``) to wrap as-is.  The matcher
     kind, stride and every serving knob come from ``config``; the
     returned engine is a :class:`~repro.engine.ClassificationEngine`,
-    or a :class:`~repro.shard.ShardedEngine` when ``config.shards > 0``
-    — both serve the same ``lookup`` / ``lookup_batch`` / ``report``
-    surface.
+    or its :class:`~repro.shard.ShardedEngine` subclass when
+    ``config.shards > 0``.
 
     >>> engine = serve("permit ip any any", EngineConfig(cache_size=1024))
     """

@@ -13,7 +13,6 @@ benchmarks and differential tests.
 from __future__ import annotations
 
 import abc
-import warnings
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Type, Union
 
@@ -198,22 +197,6 @@ class TernaryMatcher(abc.ABC):
         walk mirroring :meth:`lookup`.
         """
         return self.lookup(query), 1, 1
-
-    def lookup_counted(self, query: int) -> Optional[TernaryEntry]:
-        """Deprecated shim for :meth:`profile_lookup`.
-
-        Kept so existing callers keep working; new code should call
-        ``profile_lookup`` (or run through
-        :class:`repro.engine.ClassificationEngine`, which folds cache
-        counters into the same :class:`LookupStats`).
-        """
-        warnings.warn(
-            f"{type(self).__name__}.lookup_counted() is deprecated; use "
-            "profile_lookup() or repro.engine.ClassificationEngine",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.profile_lookup(query)
 
     # -- introspection ----------------------------------------------------
 

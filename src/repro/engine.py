@@ -71,7 +71,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterable, Optional, Sequence, Union
 
-from .config import _UNSET, EngineConfig, fold_legacy_kwargs
+from .config import DEFAULT_CONFIG, EngineConfig
 from .core.table import LookupStats, TernaryEntry, TernaryMatcher
 from .core.ternary import TernaryKey
 from .obs.metrics import MetricsRegistry, geometric_buckets
@@ -477,12 +477,9 @@ class ClassificationEngine:
 
         engine = ClassificationEngine(matcher, EngineConfig(cache_size=1024))
 
-    (The pre-config keyword knobs — ``cache_size``, ``auto_freeze``,
-    ``invalidation_threshold``, ``metrics``, ``resilience`` — still
-    work through a shim that emits :class:`DeprecationWarning`; see
-    docs/api.md for the migration table.  :meth:`from_config` builds
-    the engine a config describes, returning the multi-process
-    :class:`~repro.shard.ShardedEngine` when ``config.shards > 0``.)
+    (:meth:`from_config` builds the engine a config describes,
+    returning the multi-process :class:`~repro.shard.ShardedEngine`
+    subclass when ``config.shards > 0``.)
 
     ``cache_size`` is the LRU capacity in distinct binary queries
     (0 disables caching; batching still applies).  ``matcher`` is any
@@ -516,22 +513,8 @@ class ClassificationEngine:
         self,
         matcher: Union[TernaryMatcher, Any],
         config: Optional[EngineConfig] = None,
-        *,
-        cache_size: Any = _UNSET,
-        auto_freeze: Any = _UNSET,
-        invalidation_threshold: Any = _UNSET,
-        metrics: Any = _UNSET,
-        resilience: Any = _UNSET,
     ) -> None:
-        config = fold_legacy_kwargs(
-            config,
-            owner="ClassificationEngine",
-            cache_size=cache_size,
-            auto_freeze=auto_freeze,
-            invalidation_threshold=invalidation_threshold,
-            metrics=metrics,
-            resilience=resilience,
-        )
+        config = config if config is not None else DEFAULT_CONFIG
         if not callable(getattr(matcher, "lookup", None)):
             raise TypeError(f"{matcher!r} has no lookup(); not a matcher")
         #: the EngineConfig this engine was constructed from
@@ -597,10 +580,10 @@ class ClassificationEngine:
         """The engine ``config`` describes, over an already-built matcher.
 
         With ``config.shards == 0`` this is ``cls(matcher, config)``;
-        with ``shards > 0`` it returns the multi-process
-        :class:`~repro.shard.ShardedEngine` front-end instead — the
-        same ``lookup`` / ``lookup_batch`` / ``report`` surface, served
-        by worker processes over a shared-memory frozen plane.
+        with ``shards > 0`` it returns a
+        :class:`~repro.shard.ShardedEngine`, the subclass that resolves
+        cache misses through worker processes over a shared-memory
+        frozen plane.
         """
         config = config if config is not None else EngineConfig()
         if config.shards:
@@ -911,6 +894,11 @@ class ClassificationEngine:
         lookup = target.lookup
         return [lookup(query) for query in unique]
 
+    def _resolve_plane(self, plane: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
+        """Walk the frozen plane for a batch of misses (the rung the
+        sharded engine hands to its worker processes)."""
+        return self._raw_resolve(plane, unique)
+
     def _guarded_resolve(self, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
         """Resolve misses down the ladder: frozen plane → interpreted
         matcher → linear-scan reference.  Each rung's fault is recorded
@@ -929,7 +917,7 @@ class ClassificationEngine:
         plane = self._plane
         if plane is not None and target is plane:
             try:
-                resolved = self._raw_resolve(plane, unique)
+                resolved = self._resolve_plane(plane, unique)
             except Exception as exc:
                 guard.record_fault(getattr(exc, "site", None) or "frozen_walk", exc)
                 guard.breaker.record_failure()

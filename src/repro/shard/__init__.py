@@ -8,10 +8,11 @@ arguments of arXiv 1804.09254):
 
 * :mod:`repro.shard.plane` — publish one serialized frozen plane into
   ``multiprocessing.shared_memory``; workers map it zero-copy;
-* :mod:`repro.shard.worker` — the per-process serving loop (private
-  flow cache, lazy plane remap, leaf-index answers);
-* :mod:`repro.shard.engine` — :class:`ShardedEngine`, the front-end
-  that speaks the :class:`~repro.engine.ClassificationEngine` surface.
+* :mod:`repro.shard.worker` — the per-process serving loop (lazy
+  plane remap, leaf-index answers);
+* :mod:`repro.shard.engine` — :class:`ShardedEngine`, the
+  :class:`~repro.engine.ClassificationEngine` subclass that owns the
+  worker pool and sends it the engine's cache misses.
 
 Entry points: ``EngineConfig(shards=N)`` through
 :meth:`repro.engine.ClassificationEngine.from_config` or

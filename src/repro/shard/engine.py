@@ -1,43 +1,48 @@
-"""The sharded multi-process data plane front-end.
+"""The sharded multi-process data plane.
 
-:class:`ShardedEngine` serves the same ``lookup`` / ``lookup_batch`` /
-``report`` surface as :class:`~repro.engine.ClassificationEngine`, but
-fans batches across N worker processes, RSS-style: the shard of a query
-is :func:`flow_shard` — a splitmix64-style avalanche over the packed
-5-tuple, so every header bit perturbs the shard choice (CPython's int
-hash is near-identity and would let a constant low-order field pin the
-shard) — and a flow always lands on the same worker, so that worker's
-private :class:`~repro.engine.FlowCache` sees the whole flow.
+:class:`ShardedEngine` is a :class:`~repro.engine.ClassificationEngine`
+whose frozen-plane walks run in N worker processes.  Everything else —
+the flow cache, the guard rail and its shadow checks, metrics, updates,
+checkpoints, last-good and rollouts — is the engine's own; this class
+only owns the worker pool.
 
 Topology::
 
-    parent (control plane + fallback)          workers (data plane)
-    ───────────────────────────────────        ─────────────────────
-    ClassificationEngine (inner)                shard 0: FlowCache ─┐
-      · updates, checkpoints, GuardRail         shard 1: FlowCache ─┼── one
-      · serves scalar lookup() locally             ...              │  shared
-    FrozenMatcher  ── serialize_frozen ──▶  PLMF in shared memory ◀─┘  mapping
+    parent: ClassificationEngine                    workers
+    ──────────────────────────────────────         ────────────────
+    flow cache → guard ladder → unique misses ──▶  shard 0 ─┐
+      (the frozen-plane rung is the pool)           shard 1 ─┼── one
+    FrozenMatcher ── serialize_frozen ──▶ PLMF in shared memory ◀┘ mapping
 
 Every worker maps the *same* PLMF image zero-copy
 (:mod:`repro.shard.plane`), so memory stays O(1) in the worker count.
-Policy updates are atomic cross-shard swaps built from the pieces the
-update and resilience planes already provide: the parent applies the
-update to the inner engine, republishes a fresh image under a new
-monotonic stamp keyed by the inner ``(epoch, generation)`` coherence
-stamp, and workers remap lazily when the next batch names the new
-stamp — no barrier, no torn reads (old image stays mapped until every
-live worker has acknowledged a newer one).
+The parent's cache answers repeats before any process hop, so workers
+only see unique misses; with more than one worker those are split
+RSS-style by :func:`flow_shard` — a splitmix64-style avalanche over the
+packed 5-tuple, so every header bit perturbs the shard choice (CPython's
+int hash is near-identity and would let a constant low-order field pin
+the shard).  With one worker nothing is hashed.
 
-Worker death is degradation, not an outage: the affected flow-hash
-bucket is re-resolved through the inner engine (GuardRail accounting
-via ``record_fault("shard_worker")``), the worker is respawned up to
+Policy updates are atomic cross-shard swaps built from the update
+plane's coherence stamp: when the engine's ``(epoch, generation)`` pair
+moves, the next batch republishes the engine's own frozen plane under a
+new monotonic stamp, and workers remap lazily when a request names the
+new stamp — no barrier, no torn reads (an old image stays mapped until
+every live worker has acknowledged a newer one).  A policy swap
+(``replace_matcher``, which ``restore_last_good`` and rollout promotion
+go through) and ``invalidate_all`` republish eagerly.
+
+Worker death is degradation, not an outage: the dead shard's bucket is
+walked on the parent's own frozen plane, the fault is recorded as
+``shard_worker``, and a failing walk there falls on down the engine's
+ladder (matcher, then reference).  The worker is respawned up to
 ``shard_max_restarts`` times, and ``health`` reads ``degraded`` while
-any shard is down — the same ladder semantics the resilience plane
-gives the in-process engine.
+any shard is down.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
 from typing import Any, Iterable, Optional, Sequence, Union
@@ -90,10 +95,7 @@ class _ShardDead(Exception):
 class _ShardHandle:
     """Parent-side bookkeeping for one worker process."""
 
-    __slots__ = (
-        "index", "proc", "conn", "alive", "restarts",
-        "last_stamp", "last_error", "routed", "worker_cache_hits",
-    )
+    __slots__ = ("index", "proc", "conn", "alive", "restarts", "last_stamp", "last_error", "routed")
 
     def __init__(self, index: int) -> None:
         self.index = index
@@ -105,20 +107,20 @@ class _ShardHandle:
         self.last_error: Optional[str] = None
         #: queries routed to this shard by the parent (cumulative)
         self.routed = 0
-        #: flow-cache hits the worker reported back (cumulative)
-        self.worker_cache_hits = 0
 
 
-class ShardedEngine:
-    """N worker processes over one shared frozen plane, one surface.
+class ShardedEngine(ClassificationEngine):
+    """A :class:`~repro.engine.ClassificationEngine` whose frozen-plane
+    walks run in ``config.shards`` worker processes.
 
     Build one with ``ClassificationEngine.from_config(matcher,
-    EngineConfig(shards=N))`` (or :func:`repro.serve`).  Control-plane
-    calls — updates, checkpoints, metrics, resilience — delegate to an
-    inner :class:`~repro.engine.ClassificationEngine`; attributes not
-    overridden here fall through to it, so the whole engine surface
-    keeps working.  Call :meth:`close` (or use the engine as a context
-    manager) to stop the workers and unlink the shared segments.
+    EngineConfig(shards=N))`` (or :func:`repro.serve`).  Workers serve
+    the engine's own frozen plane and dead workers degrade down its
+    guard ladder, so ``auto_freeze`` and ``resilience`` are always on;
+    a matcher the plane cannot compile from is rebuilt as a
+    :class:`~repro.core.frozen.FrozenMatcher` from its entries.  Call
+    :meth:`close` (or use the engine as a context manager) to stop the
+    workers and unlink the shared segments.
     """
 
     def __init__(
@@ -135,90 +137,72 @@ class ShardedEngine:
             raise ValueError(
                 f"ShardedEngine needs config.shards >= 1, got {config.shards}"
             )
-        # The fallback ladder is load-bearing here (dead workers degrade
-        # into the inner engine), so resilience is always on.
-        inner_config = config.replace(
-            shards=0, resilience=config.resilience or True
+        if not isinstance(matcher, (MultibitPalmtrie, PalmtriePlus, FrozenMatcher)):
+            matcher = FrozenMatcher.build(
+                list(matcher.entries()), matcher.key_length, stride=config.stride or 8
+            )
+        super().__init__(
+            matcher, config.replace(auto_freeze=True, resilience=config.resilience or True)
         )
-        self.config = config
-        self._inner = ClassificationEngine(matcher, inner_config)
         methods = multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context(
             start_method or ("fork" if "fork" in methods else "spawn")
         )
         self._publish_seq = 0
         self._planes: dict[int, PublishedPlane] = {}
-        self._plane: Optional[FrozenMatcher] = None
+        #: the frozen plane the current image was serialized from
+        self._published: Optional[FrozenMatcher] = None
         self._stamp = -1
         self._published_for: Optional[tuple[int, int]] = None
         self._closed = False
-        #: parent-side aggregate counters for report()/metrics
+        self._shards: list[_ShardHandle] = []
         self.worker_deaths = 0
         self.respawns = 0
+        #: misses walked by the parent because their shard was down
         self.local_fallback_lookups = 0
-        self.sharded_batches = 0
         self._republish(force=True)
+        if self._published is None:
+            raise RuntimeError("ShardedEngine: the frozen plane failed to compile")
         self._shards = [self._spawn(i) for i in range(config.shards)]
-        registry = self._inner.metrics
+        registry = self.metrics
         if registry is not None:
             registry.add_collector(self._collect_metrics)
 
     # -- plane publishing (the atomic swap half) ------------------------
 
-    def _make_plane(self) -> FrozenMatcher:
-        matcher = self._inner.matcher
-        layout = self.config.frozen_layout
-        plan = self.config.stride_plan
-        if isinstance(matcher, FrozenMatcher):
-            from ..core.frozen import freeze
-
-            # freeze() folds the config's adaptive knobs in (no-ops
-            # when they match what the plane was compiled with) and
-            # refreezes a dirty plane.
-            kwargs: dict[str, Any] = {}
-            if layout != "build":
-                kwargs["layout"] = layout
-            if plan is not None:
-                kwargs["plan"] = plan
-            plane = freeze(matcher, **kwargs)
-            if plane._dirty:
-                plane._refreeze()
-            return plane
-        if isinstance(matcher, (MultibitPalmtrie, PalmtriePlus)):
-            return FrozenMatcher.from_matcher(matcher, layout=layout, plan=plan)
-        # Any other matcher: rebuild a frozen plane from its entries.
-        return FrozenMatcher.build(
-            list(matcher.entries()),
-            matcher.key_length,
-            stride=self.config.stride or 8,
-            layout=layout,
-            plan=plan,
-        )
+    def _coherence_stamp(self) -> tuple[int, int]:
+        return (self.epoch, getattr(self._matcher, "generation", 0))
 
     def _republish(self, force: bool = False) -> None:
-        """Publish a fresh PLMF image if the policy moved (or ``force``).
+        """Publish the engine's frozen plane as a fresh PLMF image if the
+        ``(epoch, generation)`` stamp moved or the plane was recompiled
+        (or ``force``).
 
-        Staleness is the update plane's coherence stamp: the inner
-        ``(epoch, generation)`` pair.  Publishing never blocks workers —
-        they keep answering from the old image until a batch carries
-        the new stamp.
+        Publishing never blocks workers — they keep answering from the
+        old image until a request carries the new stamp.  While the
+        engine serves below the frozen rung (quarantine, an open
+        breaker) nothing is published and misses never reach the pool.
         """
-        stamp_key = (
-            self._inner.epoch,
-            getattr(self._inner.matcher, "generation", 0),
-        )
-        if not force and self._published_for == stamp_key:
+        if self._closed:
             return
-        plane = self._make_plane()
+        if (
+            not force
+            and self._plane is self._published
+            and self._published_for == self._coherence_stamp()
+        ):
+            return
+        self._sync()
+        plane = self._lookup_target()
+        if plane is not self._plane:
+            return
+        stamp_key = self._coherence_stamp()
+        if not force and plane is self._published and self._published_for == stamp_key:
+            return
         self._publish_seq += 1
-        published = publish_plane(
-            plane,
-            self._publish_seq,
-            epoch=stamp_key[0],
-            generation=stamp_key[1],
+        self._planes[self._publish_seq] = publish_plane(
+            plane, self._publish_seq, epoch=stamp_key[0], generation=stamp_key[1]
         )
-        self._planes[self._publish_seq] = published
-        self._plane = plane
+        self._published = plane
         self._stamp = self._publish_seq
         self._published_for = stamp_key
         self._retire_stale()
@@ -226,7 +210,7 @@ class ShardedEngine:
     def _retire_stale(self) -> None:
         """Unlink images every live worker has moved past."""
         floor = self._stamp
-        for handle in getattr(self, "_shards", ()):
+        for handle in self._shards:
             if handle.alive:
                 floor = min(floor, handle.last_stamp)
         for stamp in [s for s in self._planes if s < floor]:
@@ -240,13 +224,7 @@ class ShardedEngine:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=shard_worker_main,
-            args=(
-                child_conn,
-                index,
-                self.config.cache_size,
-                self._stamp,
-                self._planes[self._stamp].name,
-            ),
+            args=(child_conn, index, self._stamp, self._planes[self._stamp].name),
             name=f"palmtrie-shard-{index}",
             daemon=True,
         )
@@ -263,9 +241,7 @@ class ShardedEngine:
             handle.alive = False
             self.worker_deaths += 1
         handle.last_error = repr(exc)
-        guard = self._inner.resilience
-        if guard is not None:
-            guard.record_fault("shard_worker", exc)
+        self._guard.record_fault("shard_worker", exc)
         try:
             handle.conn.close()
         except OSError:  # pragma: no cover
@@ -277,7 +253,7 @@ class ShardedEngine:
     def _ensure_alive(self, handle: _ShardHandle) -> Optional[_ShardHandle]:
         """The serving handle for a shard slot, respawning if the ladder
         allows; None when the shard is past ``shard_max_restarts`` (its
-        bucket is served by the inner engine from then on)."""
+        bucket is walked by the parent from then on)."""
         if handle.alive:
             return handle
         if handle.restarts >= self.config.shard_max_restarts:
@@ -288,16 +264,21 @@ class ShardedEngine:
             handle.last_error = repr(exc)
             return None
         replacement.routed = handle.routed
-        replacement.worker_cache_hits = handle.worker_cache_hits
         replacement.last_error = handle.last_error
         self._shards[handle.index] = replacement
         self.respawns += 1
         return replacement
 
-    def _call(self, handle: _ShardHandle, message: tuple) -> Any:
-        """One request/reply on a worker pipe; raises ``_ShardDead``."""
+    def _send(self, handle: _ShardHandle, message: tuple) -> None:
         try:
             handle.conn.send(message)
+        except (BrokenPipeError, OSError) as exc:
+            self._mark_dead(handle, exc)
+            raise _ShardDead from exc
+
+    def _recv(self, handle: _ShardHandle) -> Any:
+        """One reply on a worker pipe; raises ``_ShardDead``."""
+        try:
             if not handle.conn.poll(self.config.shard_timeout):
                 raise TimeoutError(
                     f"shard {handle.index} silent for {self.config.shard_timeout}s"
@@ -308,103 +289,94 @@ class ShardedEngine:
             raise _ShardDead from exc
         if reply[0] != "ok":
             # The worker survived a bad request; the request did not.
-            guard = self._inner.resilience
-            if guard is not None:
-                guard.record_fault(reply[1], RuntimeError(reply[2]))
+            self._guard.record_fault(reply[1], RuntimeError(reply[2]))
             raise _ShardDead
         return reply[1]
 
-    def _recv_reply(self, handle: _ShardHandle) -> Any:
-        """Receive one pending reply (send already happened)."""
-        try:
-            if not handle.conn.poll(self.config.shard_timeout):
-                raise TimeoutError(
-                    f"shard {handle.index} silent for {self.config.shard_timeout}s"
-                )
-            reply = handle.conn.recv()
-        except (BrokenPipeError, EOFError, OSError, TimeoutError) as exc:
-            self._mark_dead(handle, exc)
-            raise _ShardDead from exc
-        if reply[0] != "ok":
-            guard = self._inner.resilience
-            if guard is not None:
-                guard.record_fault(reply[1], RuntimeError(reply[2]))
-            raise _ShardDead
-        return reply[1]
+    def _scatter(
+        self, op: str, queries: Sequence[int]
+    ) -> tuple[list[tuple[Sequence[int], Any]], list[Sequence[int]]]:
+        """Send every shard its flow-hash bucket of ``queries`` as one
+        ``op`` request against the current image.
+
+        Returns ``(replies, lost)``: ``(slots, reply)`` per answering
+        shard, and the slots of every bucket no worker answered, where a
+        slot indexes ``queries``.
+        """
+        n = len(self._shards)
+        if n == 1:
+            slot_lists: list[Sequence[int]] = [range(len(queries))]
+        else:
+            slot_lists = [[] for _ in range(n)]
+            for i, q in enumerate(queries):
+                slot_lists[flow_shard(q, n)].append(i)
+        stamp = self._stamp
+        name = self._planes[stamp].name
+        pending: list[tuple[_ShardHandle, Sequence[int]]] = []
+        lost: list[Sequence[int]] = []
+        for s, slots in enumerate(slot_lists):
+            if not slots:
+                continue
+            handle = self._ensure_alive(self._shards[s])
+            try:
+                if handle is None:
+                    raise _ShardDead
+                bucket = queries if n == 1 else [queries[i] for i in slots]
+                self._send(handle, (op, stamp, name, bucket))
+            except _ShardDead:
+                lost.append(slots)
+                continue
+            pending.append((handle, slots))
+        replies: list[tuple[Sequence[int], Any]] = []
+        for handle, slots in pending:
+            try:
+                reply = self._recv(handle)
+            except _ShardDead:
+                lost.append(slots)
+                continue
+            handle.last_stamp = stamp
+            handle.routed += len(slots)
+            replies.append((slots, reply))
+        return replies, lost
+
+    def _walk_locally(self, plane: Any, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
+        """A lost bucket, walked on the parent's own frozen plane."""
+        self.local_fallback_lookups += len(queries)
+        self._guard.degraded_lookups += len(queries)
+        return super()._resolve_plane(plane, queries)
 
     # -- the serving surface ---------------------------------------------
 
-    def lookup(self, query: int) -> Optional[TernaryEntry]:
-        """Scalar lookups stay parent-local: one query never amortizes a
-        process hop (the same reason the paper batches before
-        vectorizing)."""
-        return self._inner.lookup(query)
-
-    def lookup_value(self, query: int, default: Any = None) -> Any:
-        entry = self.lookup(query)
-        return default if entry is None else entry.value
-
-    def _local_resolve(self, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
-        """Degraded path: a dead shard's bucket through the inner engine."""
-        self.local_fallback_lookups += len(queries)
-        guard = self._inner.resilience
-        if guard is not None:
-            guard.degraded_lookups += len(queries)
-        return self._inner.lookup_batch(queries)
-
-    def lookup_batch(self, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
-        """Flow-hash scatter, worker walk, index gather, local resolve.
-
-        Workers answer in *leaf indices*; the parent resolves entries
-        against its own copy of the published plane, so entry objects
-        never cross a process boundary.
-        """
-        if self._closed:
-            return self._inner.lookup_batch(queries)
-        self._republish()  # catch direct matcher mutations via the stamp
-        n = len(self._shards)
-        results: list[Optional[TernaryEntry]] = [None] * len(queries)
-        buckets: list[list[int]] = [[] for _ in range(n)]
-        slots: list[list[int]] = [[] for _ in range(n)]
-        for i, q in enumerate(queries):
-            s = flow_shard(q, n)
-            buckets[s].append(q)
-            slots[s].append(i)
-        stamp = self._stamp
-        name = self._planes[stamp].name
-        pending: list[_ShardHandle] = []
-        local: list[int] = []  # shard slots served by the fallback
-        for s in range(n):
-            if not buckets[s]:
-                continue
-            handle = self._ensure_alive(self._shards[s])
-            if handle is None:
-                local.append(s)
-                continue
-            try:
-                handle.conn.send(("batch", stamp, name, buckets[s]))
-                pending.append(handle)
-            except (BrokenPipeError, OSError) as exc:
-                self._mark_dead(handle, exc)
-                local.append(s)
-        best_of = self._plane._leaf_best
-        for handle in pending:
-            s = handle.index
-            try:
-                indices, hits = self._recv_reply(handle)
-            except _ShardDead:
-                local.append(s)
-                continue
-            handle.last_stamp = stamp
-            handle.routed += len(buckets[s])
-            handle.worker_cache_hits += hits
-            for i, j in zip(slots[s], indices):
+    def _resolve_plane(self, plane: Any, unique: Sequence[int]) -> list[Optional[TernaryEntry]]:
+        """The frozen-plane rung, served by the workers.  Workers answer
+        in leaf indices, resolved against the published plane, so entry
+        objects never cross a process boundary.  A plane the workers do
+        not hold yet (an update since the last batch) is walked here."""
+        if (
+            self._closed
+            or plane is not self._published
+            or self._published_for != self._coherence_stamp()
+        ):
+            return super()._resolve_plane(plane, unique)
+        results: list[Optional[TernaryEntry]] = [None] * len(unique)
+        replies, lost = self._scatter("batch", unique)
+        best_of = plane._leaf_best
+        for slots, indices in replies:
+            for i, j in zip(slots, indices):
                 if j >= 0:
                     results[i] = best_of[j]
-        for s in local:
-            for i, entry in zip(slots[s], self._local_resolve(buckets[s])):
+        for slots in lost:
+            bucket = [unique[i] for i in slots]
+            for i, entry in zip(slots, self._walk_locally(plane, bucket)):
                 results[i] = entry
-        self.sharded_batches += 1
+        return results
+
+    def lookup_batch(self, queries: Sequence[int]) -> list[Optional[TernaryEntry]]:
+        """The engine's batch path, with the image kept current: a moved
+        stamp republishes first, and images every worker has left are
+        retired after."""
+        self._republish()
+        results = super().lookup_batch(queries)
         self._retire_stale()
         return results
 
@@ -416,187 +388,81 @@ class ShardedEngine:
         Unlike :meth:`lookup_batch` (which must return per-query
         answers in order), a replay only needs aggregates — so workers
         reply with ``{leaf index: occurrences}`` dictionaries the size
-        of the rule set, the parent pipelines (partitioning chunk k+1
-        while the workers chew chunk k), and per-query parent work is
-        one ``hash`` and one list append.  This is the path
-        ``bench_shards`` measures and ``palmtrie-repro replay
-        --shards N`` serves.
+        of the rule set, and per-query parent work is one hash and one
+        list append.  The flow cache is bypassed.  This is the path
+        ``bench_shards`` measures and ``palmtrie-repro replay --shards
+        N`` serves.
         """
         if self._closed:
             raise RuntimeError("engine is closed")
         self._republish()
-        n = len(self._shards)
-        totals: Counter = Counter()
-        queries = 0
+        if self._published_for != self._coherence_stamp():
+            raise RuntimeError(
+                "replay needs the frozen plane, but the engine serves below it "
+                f"({self.health})"
+            )
+        plane = self._published
+        best_of = plane._leaf_best
+        verdicts: Counter = Counter()
+        missed = queries = 0
         started = time.perf_counter()
-
-        def partition(chunk: Sequence[int]) -> list[list[int]]:
-            buckets: list[list[int]] = [[] for _ in range(n)]
-            for q in chunk:
-                buckets[flow_shard(q, n)].append(q)
-            return buckets
-
-        # Workers count in leaf-index space; a dead shard's bucket is
-        # resolved by the inner engine, which speaks entries — so the
-        # fallback counts land in *verdict value* space and the two are
-        # merged at the end.
-        fallback_verdicts: Counter = Counter()
-        fallback_missed = 0
-
-        def dispatch(buckets: list[list[int]]) -> None:
-            nonlocal fallback_missed
-            stamp = self._stamp
-            name = self._planes[stamp].name
-            pending: list[tuple[_ShardHandle, int]] = []
-            local: list[int] = []
-            for s in range(n):
-                if not buckets[s]:
-                    continue
-                handle = self._ensure_alive(self._shards[s])
-                if handle is None:
-                    local.append(s)
-                    continue
-                try:
-                    handle.conn.send(("count", stamp, name, buckets[s]))
-                    pending.append((handle, s))
-                except (BrokenPipeError, OSError) as exc:
-                    self._mark_dead(handle, exc)
-                    local.append(s)
-            for handle, s in pending:
-                try:
-                    counts, hits = self._recv_reply(handle)
-                except _ShardDead:
-                    local.append(s)
-                    continue
-                handle.last_stamp = self._stamp
-                handle.routed += len(buckets[s])
-                handle.worker_cache_hits += hits
-                totals.update(counts)
-            for s in local:
-                for entry in self._local_resolve(buckets[s]):
-                    if entry is None:
-                        fallback_missed += 1
-                    else:
-                        fallback_verdicts[entry.value] += 1
-
-        chunk: list[int] = []
-        prepared: Optional[list[list[int]]] = None
-        for q in trace:
-            chunk.append(q)
-            if len(chunk) >= chunk_size:
-                if prepared is not None:
-                    dispatch(prepared)
-                queries += len(chunk)
-                prepared = partition(chunk)
-                chunk = []
-        if chunk:
-            if prepared is not None:
-                dispatch(prepared)
+        trace = iter(trace)
+        while True:
+            chunk = list(itertools.islice(trace, chunk_size))
+            if not chunk:
+                break
             queries += len(chunk)
-            prepared = partition(chunk)
-        if prepared is not None:
-            dispatch(prepared)
+            replies, lost = self._scatter("count", chunk)
+            for _slots, counts in replies:
+                for j, count in counts.items():
+                    if j < 0:
+                        missed += count
+                    else:
+                        verdicts[best_of[j].value] += count
+            for slots in lost:
+                for entry in self._walk_locally(plane, [chunk[i] for i in slots]):
+                    if entry is None:
+                        missed += 1
+                    else:
+                        verdicts[entry.value] += 1
         seconds = time.perf_counter() - started
-
-        best_of = self._plane._leaf_best
-        verdicts: Counter = Counter(fallback_verdicts)
-        missed = fallback_missed
-        matched = sum(fallback_verdicts.values())
-        for j, count in totals.items():
-            if j < 0:
-                missed += count
-            else:
-                verdicts[best_of[j].value] += count
-                matched += count
         self._retire_stale()
         return {
             "queries": queries,
             "seconds": seconds,
             "qps": queries / seconds if seconds > 0 else 0.0,
-            "matched": matched,
+            "matched": queries - missed,
             "missed": missed,
             "verdicts": dict(verdicts),
             "shards": len(self._shards),
-            "worker_cache_hits": sum(h.worker_cache_hits for h in self._shards),
             "local_fallback_lookups": self.local_fallback_lookups,
         }
 
-    # -- updates (delegate, then swap) -----------------------------------
-
-    def insert(self, entry: TernaryEntry) -> None:
-        self._inner.insert(entry)
-        self._republish()
-
-    def delete(self, key: Any) -> bool:
-        removed = self._inner.delete(key)
-        self._republish()
-        return removed
-
-    def apply_updates(self, ops: Iterable[Any]) -> Any:
-        report = self._inner.apply_updates(ops)
-        self._republish()
-        return report
+    # -- eager republish on a policy swap ---------------------------------
 
     def replace_matcher(self, matcher: Union[TernaryMatcher, Any]) -> None:
-        self._inner.replace_matcher(matcher)
-        self._republish()
-
-    def refresh(self) -> None:
-        self._inner.refresh()
-        self._republish()
+        # Promotion and restore_last_good swap through here: remap the
+        # workers now, not at the next batch, so a rollback never
+        # leaves the bad policy's image published.
+        super().replace_matcher(matcher)
+        self._republish(force=True)
 
     def invalidate_all(self) -> int:
-        dropped = self._inner.invalidate_all()
-        # Force a stamp bump so every worker drops its flow cache too.
+        # The operator's reset lever: workers also remap onto a freshly
+        # serialized image of the current plane.
+        dropped = super().invalidate_all()
         self._republish(force=True)
         return dropped
-
-    def checkpoint(self, path: Any) -> int:
-        return self._inner.checkpoint(path)
-
-    def mark_last_good(self, path: Any = None) -> int:
-        return self._inner.mark_last_good(path)
-
-    def restore_last_good(self, path: Any = None) -> None:
-        # The inner restore swaps through the *inner* replace_matcher,
-        # which bypasses the sharded republish — force one so workers
-        # remap to the restored plane now, not at the next lazy stamp
-        # check (a rollback must not leave workers on the bad plane).
-        self._inner.restore_last_good(path)
-        self._republish(force=True)
-
-    @classmethod
-    def from_checkpoint(
-        cls, path: Any, config: Optional[EngineConfig] = None, **kwargs: Any
-    ) -> "ShardedEngine":
-        config = config if config is not None else DEFAULT_CONFIG
-        recovered = ClassificationEngine.from_checkpoint(
-            path, config=config.replace(shards=0), **kwargs
-        )
-        engine = cls(recovered.matcher, config)
-        # Carry the recovery provenance across: the sharded facade must
-        # report the same restore/rebuild counters and coherence epoch
-        # the in-process recovery established, and its workers must
-        # republish under the recovered epoch's stamp.
-        inner = engine._inner
-        inner.checkpoint_restores = recovered.checkpoint_restores
-        inner.checkpoint_rebuilds = recovered.checkpoint_rebuilds
-        inner.last_recovery = recovered.last_recovery
-        inner.epoch = recovered.epoch
-        engine._republish(force=True)
-        return engine
 
     # -- health / observability ------------------------------------------
 
     @property
     def health(self) -> str:
-        """Worst of the inner ladder and the worker fleet."""
-        inner = self._inner.health
-        if inner == "quarantined":
-            return inner
-        if any(not h.alive for h in self._shards):
+        """Worst of the engine's ladder and the worker fleet."""
+        health = super().health
+        if health == "ok" and any(not h.alive for h in self._shards):
             return "degraded"
-        return inner
+        return health
 
     @property
     def shards_alive(self) -> int:
@@ -605,7 +471,7 @@ class ShardedEngine:
     def _collect_metrics(self) -> None:
         """Per-shard gauges/counters, labeled ``{"shard": i}`` (runs as
         a registry collector before every export)."""
-        registry = self._inner.metrics
+        registry = self.metrics
         if registry is None:  # pragma: no cover - collector unhooked
             return
         for handle in self._shards:
@@ -615,14 +481,9 @@ class ShardedEngine:
             ).set(1.0 if handle.alive else 0.0)
             registry.counter(
                 "shard_routed_lookups_total",
-                "queries routed to this shard by flow hash",
+                "cache misses routed to this shard",
                 labels=labels,
             ).set_total(handle.routed)
-            registry.counter(
-                "shard_worker_cache_hits_total",
-                "flow-cache hits reported by this shard's worker",
-                labels=labels,
-            ).set_total(handle.worker_cache_hits)
             registry.counter(
                 "shard_restarts_total",
                 "times this shard's worker was respawned",
@@ -640,29 +501,28 @@ class ShardedEngine:
         """Ask every live worker for its own counters (best effort)."""
         reports: list[dict[str, Any]] = []
         for handle in self._shards:
-            if not handle.alive:
-                reports.append({
-                    "shard": handle.index,
-                    "alive": False,
-                    "restarts": handle.restarts,
-                    "last_error": handle.last_error,
-                })
-                continue
-            try:
-                report = self._call(handle, ("report",))
-            except _ShardDead:
-                report = {"shard": handle.index, "alive": False,
-                          "last_error": handle.last_error}
-            else:
-                report["alive"] = True
-                report["restarts"] = handle.restarts
-            reports.append(report)
+            if handle.alive:
+                try:
+                    self._send(handle, ("report",))
+                    report = self._recv(handle)
+                except _ShardDead:
+                    pass
+                else:
+                    report["alive"] = True
+                    report["restarts"] = handle.restarts
+                    reports.append(report)
+                    continue
+            reports.append({
+                "shard": handle.index,
+                "alive": False,
+                "restarts": handle.restarts,
+                "last_error": handle.last_error,
+            })
         return reports
 
     def report(self) -> dict[str, Any]:
-        summary = self._inner.report()
+        summary = super().report()
         current = self._planes.get(self._stamp)
-        summary["health"] = self.health
         summary["shards"] = {
             "count": len(self._shards),
             "alive": self.shards_alive,
@@ -673,12 +533,8 @@ class ShardedEngine:
             "worker_deaths": self.worker_deaths,
             "respawns": self.respawns,
             "local_fallback_lookups": self.local_fallback_lookups,
-            "sharded_batches": self.sharded_batches,
             "workers": self.worker_reports(),
         }
-        pipeline = getattr(self, "stream_pipeline", None)
-        if pipeline is not None:
-            summary["stream"] = pipeline.report()
         return summary
 
     # -- lifecycle --------------------------------------------------------
@@ -721,18 +577,3 @@ class ShardedEngine:
             self.close()
         except Exception:
             pass
-
-    # -- delegation --------------------------------------------------------
-
-    @property
-    def inner(self) -> ClassificationEngine:
-        """The in-process engine behind the shard fan-out (control
-        plane, fallback tier, stats, metrics, resilience)."""
-        return self._inner
-
-    def __getattr__(self, name: str) -> Any:
-        # Everything not overridden (stats, matcher, epoch, metrics,
-        # resilience, enable_metrics, ...) serves from the inner engine.
-        if name.startswith("_"):
-            raise AttributeError(name)
-        return getattr(self._inner, name)

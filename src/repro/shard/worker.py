@@ -1,24 +1,23 @@
 """The shard worker: one process, one pipe, one mapped plane.
 
-Each worker owns a private :class:`~repro.engine.FlowCache` keyed by
-query and valued with *leaf indices* into the shared frozen plane —
+A worker answers in *leaf indices* into the shared frozen plane —
 entries never cross the process boundary; the parent resolves indices
 against its own copy of the same PLMF image (leaf numbering is a pure
 function of the wire bytes, so the processes agree by construction).
+The worker keeps no flow cache: the parent's cache sees every packet
+first, so a worker only ever receives the parent's unique misses.
 
 The protocol is a tuple per message, strictly request/reply from the
 worker's point of view:
 
 ``("batch", stamp, name, queries)``
-    Resolve ``queries`` (already flow-hash partitioned by the parent)
-    and reply ``("ok", (indices, cache_hits))`` with one leaf index per
-    query, ``-1`` for no match.
+    Resolve ``queries`` and reply ``("ok", indices)`` with one leaf
+    index per query, ``-1`` for no match.
 
 ``("count", stamp, name, queries)``
     The replay fast path: same resolve, but the reply aggregates to
-    ``("ok", ({leaf_index: occurrences}, cache_hits))`` so a multi-
-    million-packet replay ships back a dict the size of the rule set,
-    not the trace.
+    ``("ok", {leaf_index: occurrences})`` so a multi-million-packet
+    replay ships back a dict the size of the rule set, not the trace.
 
 ``("report",)`` / ``("ping", token)`` / ``("stop",)``
     Introspection, liveness and orderly shutdown.
@@ -26,8 +25,7 @@ worker's point of view:
 Every ``batch``/``count`` carries the publisher's ``(stamp, name)`` for
 the plane it must be answered from.  A worker holding an older plane
 **remaps lazily right here** — attach the new segment, drop the old
-mapping, clear the flow cache (indices are only meaningful within one
-image) — which is the worker half of the atomic cross-shard swap:
+mapping — which is the worker half of the atomic cross-shard swap:
 publish new PLMF → bump stamp → workers remap on next touch.
 
 Faults inside a request are reported as ``("err", site, repr)`` and the
@@ -40,28 +38,22 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Optional
 
-from ..engine import _MISSING, FlowCache
 from .plane import attach_plane, detach_plane
 
 __all__ = ["shard_worker_main"]
 
 
 class _WorkerState:
-    """Mutable per-process serving state (plane mapping + flow cache)."""
+    """Mutable per-process serving state (the plane mapping + counters)."""
 
-    __slots__ = (
-        "shard_index", "cache", "stamp", "matcher", "shm",
-        "lookups", "cache_hits", "remaps", "batches",
-    )
+    __slots__ = ("shard_index", "stamp", "matcher", "shm", "lookups", "remaps", "batches")
 
-    def __init__(self, shard_index: int, cache_size: int) -> None:
+    def __init__(self, shard_index: int) -> None:
         self.shard_index = shard_index
-        self.cache = FlowCache(cache_size)
         self.stamp = -1
         self.matcher: Optional[Any] = None
         self.shm: Optional[Any] = None
         self.lookups = 0
-        self.cache_hits = 0
         self.remaps = 0
         self.batches = 0
 
@@ -73,34 +65,13 @@ class _WorkerState:
         self.matcher = None  # drop plane views before closing the mapping
         detach_plane(old_shm)
         self.matcher, self.shm, self.stamp = matcher, shm, stamp
-        self.cache.clear()  # leaf indices do not survive an image swap
         self.remaps += 1
 
-    def resolve(self, queries: list[int]) -> tuple[list[int], int]:
-        """Leaf indices for ``queries``, cache first, batch-walk the rest."""
-        cache = self.cache
-        get = cache.get
-        put = cache.put
-        indices = [0] * len(queries)
-        miss_pos: list[int] = []
-        miss_q: list[int] = []
-        for i, q in enumerate(queries):
-            j = get(q)
-            if j is _MISSING:
-                miss_pos.append(i)
-                miss_q.append(q)
-            else:
-                indices[i] = j
-        if miss_q:
-            walked = self.matcher.lookup_batch_indices(miss_q)
-            for i, q, j in zip(miss_pos, miss_q, walked):
-                indices[i] = j
-                put(q, j)
-        hits = len(queries) - len(miss_q)
+    def resolve(self, queries: list[int]) -> list[int]:
+        """Leaf indices for ``queries``, one batch walk."""
         self.lookups += len(queries)
-        self.cache_hits += hits
         self.batches += 1
-        return indices, hits
+        return self.matcher.lookup_batch_indices(queries)
 
     def report(self) -> dict[str, Any]:
         import os
@@ -110,9 +81,6 @@ class _WorkerState:
             "pid": os.getpid(),
             "stamp": self.stamp,
             "lookups": self.lookups,
-            "cache_hits": self.cache_hits,
-            "cache_hit_ratio": self.cache_hits / self.lookups if self.lookups else 0.0,
-            "cache_rows": len(self.cache),
             "remaps": self.remaps,
             "batches": self.batches,
         }
@@ -121,12 +89,11 @@ class _WorkerState:
 def shard_worker_main(
     conn: Any,
     shard_index: int,
-    cache_size: int,
     plane_stamp: int,
     plane_name: str,
 ) -> None:
     """Entry point of one worker process (module-level: spawn-picklable)."""
-    state = _WorkerState(shard_index, cache_size)
+    state = _WorkerState(shard_index)
     try:
         state.remap(plane_stamp, plane_name)
     except Exception as exc:  # parent sees the error, then EOF
@@ -149,11 +116,11 @@ def shard_worker_main(
                 if op == "batch" or op == "count":
                     _, stamp, name, queries = msg
                     state.remap(stamp, name)
-                    indices, hits = state.resolve(queries)
+                    indices = state.resolve(queries)
                     if op == "count":
-                        conn.send(("ok", (dict(Counter(indices)), hits)))
+                        conn.send(("ok", dict(Counter(indices))))
                     else:
-                        conn.send(("ok", (indices, hits)))
+                        conn.send(("ok", indices))
                 elif op == "report":
                     conn.send(("ok", state.report()))
                 elif op == "ping":

@@ -4,12 +4,13 @@ A multi-tenant router cannot let one tenant's traffic or rule bloat
 degrade its neighbours, so every tenant carries two quotas enforced at
 the two places resources are actually consumed:
 
-* :class:`TokenBucket` — a classic token-bucket rate limiter checked
-  per packet at lookup admission.  An over-rate packet is **fail-closed
-  denied**: answered ``None`` (the implicit-deny verdict) without ever
-  touching the matcher, exactly the stance the streaming plane's
-  ``shed`` policy takes under overload.  Refill is computed lazily from
-  the clock, so an idle bucket costs nothing.
+* :class:`TokenBucket` — a classic token-bucket rate limiter charged
+  one token per packet at lookup admission, in one call per burst.  An
+  over-rate packet is **fail-closed denied**: answered ``None`` (the
+  implicit-deny verdict) without ever touching the matcher, exactly the
+  stance the streaming plane's ``shed`` policy takes under overload.
+  Refill is computed lazily from the clock, so an idle bucket costs
+  nothing.
 * :class:`MemoryQuota` — a byte ceiling on the tenant's *compiled
   policy* (``matcher.memory_bytes()``), enforced at build and update
   time — before a new matcher is adopted, never after.  An over-quota
@@ -96,6 +97,20 @@ class TokenBucket:
             return True
         self.denied += n
         return False
+
+    def take_upto(self, n: int) -> int:
+        """Admit the first ``k = min(n, floor(tokens))`` of ``n`` packets
+        in one call and deny the rest; returns ``k``.  Against a frozen
+        clock this is exactly what ``n`` calls of ``take(1)`` admit."""
+        if self.rate is None:
+            self.granted += n
+            return n
+        self._refill()
+        k = min(n, int(self._tokens))
+        self._tokens -= k
+        self.granted += k
+        self.denied += n - k
+        return k
 
     def report(self) -> dict[str, Any]:
         return {

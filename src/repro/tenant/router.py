@@ -127,26 +127,25 @@ class Tenant:
     def lookup_batch(self, queries: Sequence[int]) -> list[Any]:
         """Serve one batch under admission control.
 
-        Each packet spends one rate token; packets the bucket denies
-        are answered ``None`` (fail-closed) without touching any
-        engine.  Admitted packets route through the rollout controller
-        while a canary window is open, the stable engine otherwise.
+        Each packet spends one rate token, charged in one bucket call
+        per burst: the first packets the balance covers are admitted,
+        and the rest are answered ``None`` (fail-closed) without
+        touching any engine.  Admitted packets route through the
+        rollout controller while a canary window is open, the stable
+        engine otherwise.
         """
         queries = list(queries)
-        self.lookups += len(queries)
-        admitted: list[int] = []
-        out: list[Any] = [None] * len(queries)
-        for i in range(len(queries)):
-            if self.bucket.take(1):
-                admitted.append(i)
-        if admitted:
-            served = (
-                self.rollout.route_batch([queries[i] for i in admitted])
+        n = len(queries)
+        self.lookups += n
+        k = self.bucket.take_upto(n)
+        out: list[Any] = [None] * n
+        if k:
+            admitted = queries[:k]
+            out[:k] = (
+                self.rollout.route_batch(admitted)
                 if self.rollout.state == "canary"
-                else self.engine.lookup_batch([queries[i] for i in admitted])
+                else self.engine.lookup_batch(admitted)
             )
-            for i, verdict in zip(admitted, served):
-                out[i] = verdict
         return out
 
     def lookup(self, query: int) -> Any:

@@ -1,11 +1,4 @@
-"""The redesigned construction surface: EngineConfig, from_config,
-serve(), and the deprecated-keyword shim.
-
-CI runs this file (like the whole suite) under
-``-W error::DeprecationWarning``; the shim tests therefore catch the
-warning explicitly with ``pytest.warns`` — any *other* code path that
-still feeds legacy knobs fails the run.
-"""
+"""The construction surface: EngineConfig, from_config and serve()."""
 
 from __future__ import annotations
 
@@ -143,59 +136,7 @@ class TestServeFacade:
 
 
 class TestDeprecatedKeywordShim:
-    """Legacy keyword knobs still work, with one DeprecationWarning."""
-
-    def test_engine_legacy_kwargs_warn_and_apply(self):
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        with pytest.warns(DeprecationWarning, match="ClassificationEngine"):
-            engine = ClassificationEngine(matcher, cache_size=9, auto_freeze=True)
-        assert engine.cache.capacity == 9
-        assert engine.config.auto_freeze is True
-
-    def test_engine_rejects_config_plus_legacy(self):
-        matcher = build_matcher("palmtrie-plus", table1_entries(), 8)
-        with pytest.raises(TypeError, match="not both"):
-            ClassificationEngine(matcher, EngineConfig(), cache_size=9)
-
-    def test_legacy_engine_still_serves_correctly(self):
-        import random
-
-        entries = random_entries(30, KEY_LENGTH, seed=3)
-        matcher = build_matcher("palmtrie-plus", entries, KEY_LENGTH)
-        reference = build_matcher("sorted-list", entries, KEY_LENGTH)
-        with pytest.warns(DeprecationWarning):
-            engine = ClassificationEngine(matcher, cache_size=64)
-        rng = random.Random(41)
-        queries = [rng.getrandbits(KEY_LENGTH) for _ in range(50)]
-        for _ in range(2):  # second pass hits the cache
-            for query, entry in zip(queries, engine.lookup_batch(queries)):
-                expected = reference.lookup(query)
-                if expected is None:
-                    assert entry is None
-                else:
-                    assert entry.value == expected.value
-
-    @pytest.mark.parametrize(
-        "factory, owner",
-        [
-            (lambda acl, **kw: Firewall(acl, **kw), "Firewall"),
-            (
-                lambda acl, **kw: FlowMonitor(acl.entries, acl.layout.length, **kw),
-                "FlowMonitor",
-            ),
-            (
-                lambda acl, **kw: L3Forwarder(acl, [(0x0A, 8, 1)], **kw),
-                "L3Forwarder",
-            ),
-            (lambda acl, **kw: StatefulFirewall(acl, **kw), "StatefulFirewall"),
-        ],
-    )
-    def test_app_legacy_kwargs_warn(self, factory, owner):
-        acl = compile_acl(parse_acl(ACL))
-        with pytest.warns(DeprecationWarning, match=owner):
-            app = factory(acl, cache_size=8)
-        assert app.engine.cache.capacity == 8
-        assert app.config.cache_size == 8
+    """The legacy keyword knobs are gone; the config path stays silent."""
 
     def test_app_config_path_is_silent(self, recwarn):
         acl = compile_acl(parse_acl(ACL))

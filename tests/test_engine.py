@@ -509,18 +509,10 @@ class TestUpdatePlane:
 
 
 # ----------------------------------------------------------------------
-# The deprecation shim
+# The counted-lookup surface stays warning-free
 # ----------------------------------------------------------------------
 
 class TestDeprecatedShim:
-    def test_lookup_counted_warns_but_works(self):
-        matcher = build_matcher("sorted-list", table1_entries(), 8)
-        matcher.stats.reset()
-        with pytest.warns(DeprecationWarning, match="lookup_counted"):
-            result = matcher.lookup_counted(0b00010101)
-        assert_same_result(oracle_lookup(table1_entries(), 0b00010101), result)
-        assert matcher.stats.lookups == 1
-
     def test_profile_lookup_does_not_warn(self):
         matcher = build_matcher("sorted-list", table1_entries(), 8)
         with warnings.catch_warnings():

@@ -208,6 +208,53 @@ class TestShardedDifferential:
 
 
 # ----------------------------------------------------------------------
+# The parent's cache and guard sit in front of the pool
+# ----------------------------------------------------------------------
+
+
+class TestParentLayersInFront:
+    def test_shadow_checks_quarantine_a_poisoned_cache(self, policy):
+        """Every answer shadow-checked while the parent's cache is being
+        poisoned: the lie is caught, the engine quarantines, and no
+        wrong verdict is served."""
+        from repro.baselines.sorted_list import SortedListMatcher
+        from repro.resilience import FaultInjector, GuardRail
+        from repro.workloads.traffic import zipf_trace
+
+        queries = zipf_trace(policy, 2000, flows=128, seed=43)
+        reference = SortedListMatcher(KEY_LENGTH)
+        for entry in policy:
+            reference.insert(entry)
+        injector = FaultInjector(seed=5)
+        injector.arm("cache", rate=1.0)
+        guard = GuardRail(shadow_sample=1.0, injector=injector)
+        config = EngineConfig(cache_size=256, shards=1, resilience=guard)
+        matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        with ShardedEngine(matcher, config) as sharded:
+            for offset in range(0, len(queries), 100):
+                burst = queries[offset : offset + 100]
+                assert _values(sharded.lookup_batch(burst)) == \
+                    _values([reference.lookup(q) for q in burst])
+            assert guard.shadow_mismatches >= 1
+            assert sharded.health == "quarantined"
+
+    def test_workers_walk_only_the_parents_unique_misses(self, policy):
+        """A deterministic work count: the parent's cache answers
+        repeats and deduplicates each burst's misses, so the workers
+        walk exactly the parent's unique misses."""
+        queries = _trace(4000, seed=47)
+        matcher = PalmtriePlus.build(policy, KEY_LENGTH, stride=8)
+        unique_misses = 0
+        with ShardedEngine(matcher, EngineConfig(cache_size=128, shards=2)) as sharded:
+            for offset in range(0, len(queries), 256):
+                sharded.lookup_batch(queries[offset : offset + 256])
+                unique_misses += sharded.last_batch.matcher_queries
+            walked = sum(report["lookups"] for report in sharded.worker_reports())
+        assert 0 < unique_misses < len(queries)
+        assert walked == unique_misses
+
+
+# ----------------------------------------------------------------------
 # Startup recovery through the sharded facade
 # ----------------------------------------------------------------------
 

@@ -189,6 +189,23 @@ class TestTokenBucket:
         assert bucket.granted == 8
         assert bucket.denied == 4
 
+    @pytest.mark.parametrize("balance", (0.0, 0.5, 3.0, 7.9, 8.0))
+    def test_take_upto_matches_the_per_packet_loop(self, balance):
+        """One call per burst admits the same positions and moves the
+        same counters as one ``take(1)`` per packet, for bursts below,
+        at and above the balance."""
+        for burst in (1, 5, 8, 12):
+            now = [0.0]
+            one_call = TokenBucket(rate=1.0, burst=8.0, clock=lambda: now[0])
+            loop = TokenBucket(rate=1.0, burst=8.0, clock=lambda: now[0])
+            assert one_call.take(8) and loop.take(8)
+            now[0] = balance  # refill to ``balance`` tokens, then freeze
+            k = one_call.take_upto(burst)
+            grants = [loop.take(1) for _ in range(burst)]
+            assert [i < k for i in range(burst)] == grants
+            assert (one_call.granted, one_call.denied) == (loop.granted, loop.denied)
+            assert one_call.tokens == loop.tokens
+
     def test_refill_follows_the_clock(self):
         now = [0.0]
         bucket = TokenBucket(rate=10.0, burst=5.0, clock=lambda: now[0])
@@ -755,11 +772,11 @@ class TestLatencyBaselineEvidence:
 
 
 def _published_is_current(engine) -> bool:
-    """The sharded plane publication matches the inner engine's
-    coherence stamp (i.e. no lazy-republish debt outstanding)."""
+    """The sharded plane publication matches the engine's coherence
+    stamp (i.e. no lazy-republish debt outstanding)."""
     return engine._published_for == (
-        engine.inner.epoch,
-        getattr(engine.inner.matcher, "generation", 0),
+        engine.epoch,
+        getattr(engine.matcher, "generation", 0),
     )
 
 
